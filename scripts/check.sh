@@ -73,4 +73,16 @@ echo "== benchmarks (benchmark-disabled fast pass) =="
 python -m pytest benchmarks/ -q --benchmark-disable --timeout 600 \
                  -o python_files='bench_*.py test_*.py'
 
+# The benchmark checks every output (VGG against ReferenceExecutor
+# within 1e-4) but run.py exits 0 when a check fails, so this gate
+# reads its result line instead: a kernel that breaks the benchmark's
+# output check fails CI here.
+echo "== perfbench smoke (session-vgg output check) =="
+python3 perfbench/run.py --workload session-vgg --seed 1 --seconds 1 --trace 0 \
+    | tail -n 1 \
+    | python3 -c 'import json, sys
+r = json.loads(sys.stdin.read())
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit("perfbench smoke failed: correct=%s failed=%s" % (r.get("correct"), r.get("failed")))'
+
 echo "== check.sh OK =="

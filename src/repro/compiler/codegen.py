@@ -22,14 +22,13 @@ Two products per layer:
                 ``np.add.reduceat`` segment reduction instead of an
                 ``np.add.at`` scatter
   ``gemm``      load-redundancy elimination taken to its numpy limit:
-                the FKW arrays are scattered (at compile time) into one
-                dense (F, C) matrix per kernel coordinate in the
-                *pattern union*, and each shifted input slice is loaded
-                exactly once and reused across every filter through a
-                single BLAS contraction — coordinates absent from all
-                patterns are skipped outright.  This is the production
-                batch-serving level; the first three mirror the paper's
-                Figure 7 ladder structurally.
+                one gather plus one GEMM per sample over the stacked
+                union matrix — the FKW arrays are scattered (at compile
+                time) into one dense (F, U·C) matrix over the U kernel
+                coordinates of the *pattern union*, so each shifted
+                input slice is loaded once and reused across every
+                filter.  This is the production serving level; the
+                first three mirror the Figure 7 ladder structurally.
   ============  =====================================================
 
   The epilogue (bias add + fused activation) is baked into the closure
@@ -40,7 +39,8 @@ Two products per layer:
   Kernels optionally cooperate with a
   :class:`repro.runtime.arena.BufferArena` (``fn(x, arena=...)``): the
   padded-input scratch and output accumulator then come from the arena's
-  reusable pools instead of fresh allocations.
+  reusable pools instead of fresh allocations (``gemm`` also takes its
+  column scratch from there).
 
 * :class:`KernelCache` — memoises compiled closures by FKW signature +
   ``(stride, padding, opt_level, bias, activation)`` so repeated
@@ -86,10 +86,10 @@ def _padded(x: np.ndarray, padding: int, arena) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
-def _alloc_out(shape: tuple[int, ...], arena) -> np.ndarray:
+def _alloc_out(shape: tuple[int, ...], arena, zero: bool = True) -> np.ndarray:
     if arena is not None:
-        return arena.acquire(shape, zero=True)
-    return np.zeros(shape, dtype=np.float32)
+        return arena.acquire(shape, zero=zero)
+    return np.zeros(shape, np.float32) if zero else np.empty(shape, np.float32)
 
 
 def _epilogue(out: np.ndarray, bias: np.ndarray | None, activation: str | None) -> np.ndarray:
@@ -309,40 +309,42 @@ def _kernel_lre(
 def _kernel_gemm(
     fkw: FKWLayer, stride: int, padding: int, bias: np.ndarray | None, activation: str | None
 ) -> KernelFn:
-    """'+GEMM': per-coordinate scattered-weight contraction.
+    """'+GEMM': one gather plus one GEMM per sample over the stacked union matrix.
 
-    The LRE idea — load each shifted input slice once and reuse it across
-    kernels — taken to its limit in the numpy substrate: at compile time
-    the FKW arrays are scattered into one dense (F, C) weight matrix per
-    kernel coordinate appearing in *any* pattern (the pattern union); at
-    run time each union coordinate costs exactly one shifted slice view
-    plus one BLAS contraction reused by every filter at once.
-    Coordinates outside the union — and all connectivity-pruned kernels —
-    contribute nothing and are skipped.  Trades the per-kernel sparse
-    structure of ``'lre'`` for contraction throughput; bitwise semantics
-    are identical (the scatter is exact).
+    The LRE idea taken to its numpy limit.  At compile time the FKW arrays
+    are scattered into one dense (F, U·C) matrix over the U kernel
+    coordinates of the used patterns (the pattern union).  At run time
+    each sample gathers its U shifted input slices once into a (U·C, Ho·Wo)
+    column scratch, and one BLAS GEMM writes the sample's output rows
+    straight into the un-zeroed output.  Coordinates outside the union are
+    never gathered.  Every sample runs the same-shaped GEMM, so results
+    are bitwise batch-invariant.
     """
     f, c, kh, kw = fkw.shape
-    coord_mats: dict[tuple[int, int], np.ndarray] = {}
-    for pid, sel, owners, channels in _iter_pattern_selections(fkw):
-        for widx, (r, cc) in enumerate(fkw.pattern_set[pid].coords):
-            mat = coord_mats.setdefault((r, cc), np.zeros((f, c), np.float32))
-            # each (filter, channel) kernel occurs exactly once across
-            # all patterns, so the index pairs here are unique
-            np.add.at(mat, (owners, channels), fkw.weights[sel][:, widx])
-    coord_items = sorted(coord_mats.items())
+    selections = list(_iter_pattern_selections(fkw))
+    union = sorted({rc for pid, *_ in selections for rc in fkw.pattern_set[pid].coords})
+    stacked = np.zeros((f, len(union), c), np.float32)
+    for pid, sel, owners, channels in selections:
+        for widx, rc in enumerate(fkw.pattern_set[pid].coords):
+            # each (filter, channel) kernel occurs exactly once across all
+            # patterns, so the index pairs are unique: plain assignment
+            stacked[owners, union.index(rc), channels] = fkw.weights[sel, widx]
+    stacked = stacked.reshape(f, len(union) * c)
 
     def fn(x: np.ndarray, arena=None) -> np.ndarray:
         x, squeeze = _normalize_input(x, c)
         n, _, h, w = x.shape
         ho, wo = _out_hw(h, kh, stride, padding), _out_hw(w, kw, stride, padding)
         xp = _padded(x, padding, arena)
-        out = _alloc_out((n, f, ho, wo), arena)
-        for (r, cc), mat in coord_items:
-            xs = xp[:, :, r : r + stride * ho : stride, cc : cc + stride * wo : stride]
-            # one contraction per union coordinate: the shifted slice is
-            # read once and reused across all F filters
-            out += np.tensordot(mat, xs, axes=([1], [1])).transpose(1, 0, 2, 3)
+        # both fully overwritten below, so neither is zeroed
+        out = _alloc_out((n, f, ho, wo), arena, zero=False)
+        col = _alloc_out((len(union), c, ho, wo), arena, zero=False)
+        for i in range(n):
+            for u, (r, cc) in enumerate(union):
+                col[u] = xp[i, :, r : r + stride * ho : stride, cc : cc + stride * wo : stride]
+            np.matmul(stacked, col.reshape(len(union) * c, ho * wo), out=out[i].reshape(f, ho * wo))
+        if arena is not None:
+            arena.release(col)
         _epilogue(out, bias, activation)
         return _finish(out, squeeze, arena)
 
@@ -443,10 +445,15 @@ def generate_source(fkw: FKWLayer, opt_level: str = "lre", unroll_oc: int = 4, d
             body.append(f"          case {pid}: /* pattern {pid}: {coords} */ break;")
         body += ["        }", "      }"]
     elif opt_level == "gemm":
-        union = sorted({coord for pid in range(1, k + 1) for coord in fkw.pattern_set[pid].coords})
-        body.append(f"// pattern-union coordinates: {len(union)}/{kh * kw}")
-        for r, cc in union:
-            body.append(f"acc += sgemm(W_coord[{r}][{cc}], vload_shifted(input, {r}, {cc})); // slice loaded once, reused across all filters")
+        union = sorted({rc for pid in np.unique(fkw.pattern_ids) for rc in fkw.pattern_set[int(pid)].coords})
+        offsets = ", ".join(f"({r},{cc})" for r, cc in union)
+        body += [
+            f"// pattern-union coordinates: {len(union)}/{kh * kw}: {offsets}",
+            "for (n = 0; n < batch; n += 1) {",
+            f"  im2col(col, input[n], union, {len(union)}); // each shifted slice loaded once",
+            f"  sgemm(out[n], W_union, col, {f}, {len(union)} * {c}, out_hw); // reused across all filters",
+            "}",
+        ]
     else:
         body += [
             "for (oc = 0; oc < tile_oc; oc += unroll_oc)" if opt_level == "lre" else "for (oc = 0; oc < tile_oc; oc += 1)",
@@ -466,5 +473,6 @@ def generate_source(fkw: FKWLayer, opt_level: str = "lre", unroll_oc: int = 4, d
                 body.append(f"        // compute pattern {pid} here")
             body.append("      }")
         body.append("    }")
-    footer = ["// accumulate via reorder[] to original output channels"]
+    footer = ["// reorder[] folded into the rows of W_union at compile time" if opt_level == "gemm"
+              else "// accumulate via reorder[] to original output channels"]
     return "\n".join(header + body + footer)

@@ -8,7 +8,7 @@ package provides:
 * :mod:`repro.graph.builder` — build a graph from a ``repro.nn`` model
   or a :class:`~repro.models.spec.ModelSpec`,
 * :mod:`repro.graph.passes` — conv+BN folding, activation fusion,
-  constant folding, data-layout transform, static memory planning,
+  constant folding, static memory planning,
   operation replacement,
 * :mod:`repro.graph.pass_manager` — ordered pass application.
 """

@@ -129,8 +129,8 @@ class CompiledExecutor(ReferenceExecutor):
             maps conv node names to (F, C) pattern-id arrays.
         opt_level: codegen variant (``'no-opt'`` | ``'reorder'`` | ``'lre'``
             | ``'gemm'``).  ``'gemm'`` — the default — is the batch-serving
-            production level (per-coordinate scattered-weight BLAS
-            contractions over the pattern union); the other three mirror
+            production level (one gather plus one GEMM per sample over
+            the stacked pattern-union matrix); the other three mirror
             the paper's Figure 7 ladder structurally.
         kernel_cache: compile-once cache; a private one is created when
             omitted.  Repeated identical layers share one closure

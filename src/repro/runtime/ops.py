@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.autograd.im2col import im2col, im2col_view
+from repro.autograd.im2col import im2col
 from repro.graph.ir import Node, OpKind
 
 
@@ -94,13 +94,22 @@ def eval_node(node: Node, inputs: list[np.ndarray]) -> np.ndarray:
 
 
 def _pool(x: np.ndarray, node: Node, reducer: str) -> np.ndarray:
+    """Layout-robust pooling: a running max (or sum) over the k*k strided
+    window slices into one C-contiguous float32 output, so NCHW and
+    channels-last inputs cost the same.  Max is exact."""
     k = node.attrs["kernel_size"]
     s = node.attrs.get("stride", k)
     p = node.attrs.get("padding", 0)
     if p:
         fill = -np.inf if reducer == "max" else 0.0
         x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)), constant_values=fill)
-    view = im2col_view(x, k, k, s)
-    if reducer == "max":
-        return np.ascontiguousarray(view.max(axis=(2, 3))).astype(np.float32)
-    return np.ascontiguousarray(view.mean(axis=(2, 3))).astype(np.float32)
+    h, w = x.shape[2:]
+    ho, wo = (h - k) // s + 1, (w - k) // s + 1
+    windows = (x[:, :, i : i + s * ho : s, j : j + s * wo : s] for i in range(k) for j in range(k))
+    out = np.array(next(windows), np.float32, order="C")
+    combine = np.maximum if reducer == "max" else np.add
+    for win in windows:
+        combine(out, win, out=out)
+    if reducer == "mean":
+        out /= k * k
+    return out

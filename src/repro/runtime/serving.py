@@ -1,8 +1,8 @@
 """Micro-batching serving front-end for the compiled runtime.
 
-PatDNN's batched FKW kernels are dramatically cheaper per sample at
-batch 8 than at batch 1 (one BLAS contraction per pattern-union
-coordinate amortises over the whole batch), but real traffic arrives as
+PatDNN's batched FKW kernels are cheaper per sample at batch 8 than at
+batch 1 (every per-node dispatch around the per-sample GEMMs amortises
+over the whole batch), but real traffic arrives as
 single samples from many concurrent clients.  :class:`MicroBatchServer`
 bridges the two: client threads :meth:`~MicroBatchServer.submit`
 individual samples (or small batches) and get back

@@ -7,7 +7,6 @@ from repro.graph.builder import build_graph
 from repro.graph.ir import Graph, Node, OpKind, run_shape_inference
 from repro.graph.pass_manager import default_pipeline
 from repro.graph.passes import (
-    assign_layout,
     constant_fold,
     fold_batchnorm,
     fuse_activation,
@@ -108,25 +107,6 @@ class TestReplaceOps:
         run_shape_inference(g)
         assert replace_ops(g) == 1
         assert "p" not in g.nodes
-
-
-class TestLayout:
-    def test_cpu_layout_annotation(self):
-        g = build_graph(build_small_cnn(channels=(8,), in_size=8), (3, 8, 8))
-        count = assign_layout(g, "cpu", vector_width=4)
-        assert count > 0
-        assert g.conv_nodes()[0].attrs["layout"] == "NCHWc"
-        assert g.conv_nodes()[0].attrs["channel_block"] == 4
-
-    def test_gpu_layout(self):
-        g = build_graph(build_small_cnn(channels=(8,), in_size=8), (3, 8, 8))
-        assign_layout(g, "gpu")
-        assert g.conv_nodes()[0].attrs["layout"] == "NHWC"
-
-    def test_bad_unit(self):
-        g = build_graph(build_small_cnn(channels=(8,), in_size=8), (3, 8, 8))
-        with pytest.raises(ValueError):
-            assign_layout(g, "tpu")
 
 
 class TestMemoryPlan:
